@@ -13,7 +13,7 @@ the program before any LP work (``status="rejected"`` reports), while
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = ["CODES", "CheckResult", "Diagnostic", "SEVERITIES"]
@@ -106,6 +106,11 @@ class CheckResult:
     """
 
     diagnostics: List[Diagnostic]
+    #: The interval and (under ``invariant_domain="octagon"``) octagon
+    #: fixpoints the rules ran on, so the analysis can build its Gamma
+    #: from them instead of recomputing them.
+    analysis: Any = field(default=None, compare=False, repr=False)
+    octagon: Any = field(default=None, compare=False, repr=False)
 
     @property
     def errors(self) -> List[Diagnostic]:

@@ -32,7 +32,9 @@ drives the interpreter against this containment).
 
 Widened states are stored *unclosed* (closing a widened DBM can undo
 the extrapolation and forfeit termination); they are closed lazily, on
-a copy, whenever used as a transfer input or queried.
+a copy, when first used as a transfer input or queried.  Following
+Miné's discipline of never re-closing an unchanged matrix, ``close()``
+memoises that copy on the state until a mutator touches it.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ __all__ = ["Octagon", "OctagonAnalysis", "analyze_cfg_octagon"]
 
 _INF = math.inf
 
+#: ``Octagon._closure`` before :meth:`Octagon.close` has run (``None``
+#: is a memoised result: the octagon is empty).
+_UNCLOSED = object()
+
 
 class Octagon:
     """One abstract state: a DBM over ``2n`` signed variable indices.
@@ -65,15 +71,20 @@ class Octagon:
     and for the same reason — the worklist allocates these in its inner
     loop.  Instances are treated as immutable once stored in the
     analysis; all mutators are only called on fresh copies.
+
+    ``_closure`` memoises :meth:`close` on an unclosed state; every
+    in-place mutator resets it to :data:`_UNCLOSED`, and copies start
+    without one.
     """
 
-    __slots__ = ("vars", "index", "m", "closed")
+    __slots__ = ("vars", "index", "m", "closed", "_closure")
 
     def __init__(self, variables: Tuple[str, ...], m: List[List[float]], closed: bool = False):
         self.vars = tuple(variables)
         self.index = {var: k for k, var in enumerate(self.vars)}
         self.m = m
         self.closed = closed
+        self._closure = _UNCLOSED
 
     # -- constructors ---------------------------------------------------
 
@@ -108,6 +119,7 @@ class Octagon:
             self.m[i][j] = c
             self.m[j ^ 1][i ^ 1] = c
             self.closed = False
+            self._closure = _UNCLOSED
 
     def forget(self, k: int) -> None:
         """Project out variable ``k`` (call on a *closed* matrix, so
@@ -118,6 +130,7 @@ class Octagon:
             self.m[i][a] = self.m[i][b] = _INF
             self.m[a][i] = self.m[b][i] = _INF
         self.m[a][a] = self.m[b][b] = 0.0
+        self._closure = _UNCLOSED
 
     # -- closure --------------------------------------------------------
 
@@ -128,10 +141,16 @@ class Octagon:
         followed by the strengthening step ``m[i][j] <- min(m[i][j],
         (m[i][bar(i)] + m[bar(j)][j]) / 2)``, run twice — at our sizes
         (``2n <= 10``) the second round is cheap insurance that the
-        strengthened entries are themselves path-propagated.
+        strengthened entries are themselves path-propagated.  The
+        result is memoised until the next in-place mutation.
         """
         if self.closed:
             return self
+        if self._closure is _UNCLOSED:
+            self._closure = self._strong_closure()
+        return self._closure
+
+    def _strong_closure(self) -> Optional["Octagon"]:
         n2 = 2 * len(self.vars)
         m = [row[:] for row in self.m]
         for _ in range(2):
@@ -292,6 +311,7 @@ def _shift(oct_: Octagon, k: int, g_lo: float, g_hi: float) -> None:
                 continue
             row[j] = row[j] + (g_hi * d if d > 0 else g_lo * d)
     oct_.closed = False
+    oct_._closure = _UNCLOSED
 
 
 def _swap_sign(oct_: Octagon, k: int) -> None:
@@ -300,6 +320,7 @@ def _swap_sign(oct_: Octagon, k: int) -> None:
     oct_.m[a], oct_.m[b] = oct_.m[b], oct_.m[a]
     for row in oct_.m:
         row[a], row[b] = row[b], row[a]
+    oct_._closure = _UNCLOSED
 
 
 def _assign(

@@ -60,7 +60,7 @@ def check_cfg(
     diagnostics = run_rules(
         cfg, analysis, init, invariants, nondet_cap=nondet_cap, octagon=octagon
     )
-    return CheckResult(diagnostics)
+    return CheckResult(diagnostics, analysis=analysis, octagon=octagon)
 
 
 def check_program(
@@ -119,6 +119,4 @@ def check_request(request) -> CheckResult:
     request.validate()
     bench = _resolve_benchmark(request)
     init = dict(request.init) if request.init is not None else dict(bench.init)
-    return check_benchmark(
-        bench, init=init, invariant_domain=getattr(request, "invariant_domain", "interval")
-    )
+    return check_benchmark(bench, init=init, invariant_domain=request.invariant_domain)

@@ -20,10 +20,10 @@ request fingerprints derived from them are stable and minimal.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Optional
 
-from ..check.interp import Interval, analyze_cfg
-from ..check.octagon import analyze_cfg_octagon
+from ..check.interp import AbstractAnalysis, Interval, analyze_cfg
+from ..check.octagon import OctagonAnalysis, analyze_cfg_octagon
 from ..polynomials import Polynomial
 from ..semantics.cfg import CFG
 from .annotations import InvariantMap
@@ -73,25 +73,18 @@ def _box_rows(state: Mapping[str, Interval]) -> List[Polynomial]:
 
 
 def generate_interval_invariants(
-    cfg: CFG,
-    init: Mapping[str, float],
-    widen_after: int = 3,
-    narrow_passes: int = 3,
-    max_iterations: int = 10_000,
+    cfg: CFG, init: Mapping[str, float], analysis: Optional[AbstractAnalysis] = None
 ) -> InvariantMap:
     """Run the interval analysis from the initial valuation ``init``.
 
     Variables not mentioned by ``init`` start at 0 (matching the
     interpreter).  Returns interval constraints at every reachable
     label; unreachable labels get the (vacuous) trivial invariant.
+    ``analysis`` is a fixpoint of ``(cfg, init)`` the caller already ran
+    (the lint's); it is used instead of a new run.
     """
-    analysis = analyze_cfg(
-        cfg,
-        init,
-        widen_after=widen_after,
-        narrow_passes=narrow_passes,
-        max_iterations=max_iterations,
-    )
+    if analysis is None:
+        analysis = analyze_cfg(cfg, init)
     entries: Dict[int, Region] = {}
     for label_id, state in analysis.states.items():
         if state is None:
@@ -102,26 +95,18 @@ def generate_interval_invariants(
 
 
 def generate_octagon_invariants(
-    cfg: CFG,
-    init: Mapping[str, float],
-    widen_after: int = 3,
-    narrow_passes: int = 3,
-    max_iterations: int = 10_000,
+    cfg: CFG, init: Mapping[str, float], analysis: Optional[OctagonAnalysis] = None
 ) -> InvariantMap:
     """Run the octagon analysis from the initial valuation ``init``.
 
     Returns, at every reachable label, the unary bounds plus every
     relational constraint ``+-x +-y <= c`` that is strictly stronger
     than what the unary bounds already imply (the entailed ones would
-    only bloat the Handelman products).
+    only bloat the Handelman products).  ``analysis`` is as in
+    :func:`generate_interval_invariants`.
     """
-    analysis = analyze_cfg_octagon(
-        cfg,
-        init,
-        widen_after=widen_after,
-        narrow_passes=narrow_passes,
-        max_iterations=max_iterations,
-    )
+    if analysis is None:
+        analysis = analyze_cfg_octagon(cfg, init)
     entries: Dict[int, Region] = {}
     for label_id in analysis.states:
         rows = analysis.constraints_at(label_id)
@@ -132,14 +117,10 @@ def generate_octagon_invariants(
 
 
 def generate_invariants(
-    cfg: CFG,
-    init: Mapping[str, float],
-    domain: str = "interval",
-    widen_after: int = 3,
-    narrow_passes: int = 3,
-    max_iterations: int = 10_000,
+    cfg: CFG, init: Mapping[str, float], domain: str = "interval", analysis=None
 ) -> InvariantMap:
-    """Generate invariants in the requested abstract ``domain``."""
+    """Generate invariants in the requested abstract ``domain`` (from
+    that domain's ``analysis`` of ``(cfg, init)`` when given)."""
     if domain not in INVARIANT_DOMAINS:
         raise ValueError(
             f"invariant_domain must be one of {INVARIANT_DOMAINS}, got {domain!r}"
@@ -147,10 +128,4 @@ def generate_invariants(
     generate = (
         generate_octagon_invariants if domain == "octagon" else generate_interval_invariants
     )
-    return generate(
-        cfg,
-        init,
-        widen_after=widen_after,
-        narrow_passes=narrow_passes,
-        max_iterations=max_iterations,
-    )
+    return generate(cfg, init, analysis=analysis)

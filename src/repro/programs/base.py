@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from ..analysis.bounds import CostAnalysisResult, analyze, attach_tail_bound_for
+from ..analysis.bounds import CostAnalysisResult, PreparedTask, escalate, prepare
 from ..invariants import InvariantMap
 from ..semantics.cfg import CFG, build_cfg
 from ..syntax.ast import Program
@@ -96,38 +96,26 @@ class Benchmark:
 
     # -- analysis ---------------------------------------------------------------
 
-    def _analyze_resolved(
-        self,
-        init: Optional[Mapping[str, float]] = None,
-        degree: Optional[int] = None,
-        compute_lower: bool = True,
-        check_concentration: bool = False,
-        mode: Optional[str] = None,
-        max_multiplicands: Optional[int] = None,
-        auto_invariants: bool = True,
-        invariant_domain: str = "interval",
-        check: str = "off",
-    ) -> CostAnalysisResult:
-        """One concrete pipeline run (the engine's per-degree workhorse).
+    def prepare(self, settings, *, check_concentration: bool = False) -> PreparedTask:
+        """The degree-independent stage of the pipeline under ``settings``.
 
-        ``degree``, ``mode`` and ``max_multiplicands`` default to the
-        benchmark's own settings.  No degree escalation, no solver
-        context — callers (the batch engine, :meth:`analyze_with`)
-        own those.
+        ``settings`` is an :class:`repro.api.AnalysisOptions` or an
+        :class:`~repro.batch.spec.AnalysisRequest` (the fields are
+        name-aligned by design); an unset ``init`` or ``mode`` defers
+        to the benchmark's own.
         """
-        anchor = dict(init if init is not None else self.init)
-        return analyze(
+        anchor = dict(settings.init) if settings.init is not None else dict(self.init)
+        return prepare(
             self.program,
             init=anchor,
             invariants=self.invariant_map(anchor),
-            degree=degree if degree is not None else self.degree,
-            auto_invariants=auto_invariants,
-            invariant_domain=invariant_domain,
-            mode=mode if mode is not None else self.mode,
-            compute_lower=compute_lower,
+            auto_invariants=settings.auto_invariants,
             check_concentration=check_concentration,
-            max_multiplicands=max_multiplicands,
-            check=check,
+            compute_lower=settings.compute_lower,
+            max_multiplicands=settings.max_multiplicands,
+            mode=settings.mode if settings.mode is not None else self.mode,
+            invariant_domain=settings.invariant_domain,
+            check=settings.check,
         )
 
     def analyze_with(
@@ -138,7 +126,7 @@ class Benchmark:
         Honors the synthesis-relevant subset of the options: the degree
         plan (``"auto"`` escalates d = 1..``max_degree`` until every
         requested bound is feasible, exactly like the batch engine),
-        mode, multiplicand cap, invariant policy, init valuation,
+        mode, multiplicand cap, invariant policy, lint, init valuation,
         solver backend and the ``nondet_prob`` coin-flip
         transformation.  Simulation and timeout settings are
         engine-level concerns — use :meth:`repro.api.Analyzer.analyze`
@@ -149,38 +137,9 @@ class Benchmark:
         bench = self
         if options.nondet_prob is not None and self.has_nondeterminism:
             bench = probabilistic_variant(self, prob=options.nondet_prob)
-        # None entries defer to the benchmark's own default degree.
-        degrees = options.degree_plan()
-        result: Optional[CostAnalysisResult] = None
-        diagnostics = None
         with use_solver(options.solver):
-            for index, degree in enumerate(degrees):
-                result = bench._analyze_resolved(
-                    init=dict(options.init) if options.init is not None else None,
-                    degree=degree,
-                    compute_lower=options.compute_lower,
-                    check_concentration=check_concentration,
-                    mode=options.mode,
-                    max_multiplicands=options.max_multiplicands,
-                    auto_invariants=options.auto_invariants,
-                    invariant_domain=getattr(options, "invariant_domain", "interval"),
-                    # Lint once, on the first degree — program and
-                    # invariants are escalation-invariant.
-                    check=getattr(options, "check", "off") if index == 0 else "off",
-                )
-                if index == 0:
-                    diagnostics = result.diagnostics
-                if result.complete_for(options.compute_lower):
-                    break
-            assert result is not None  # the degree plan is never empty
-            # Re-attach the first degree's findings to the escalation
-            # winner (later analyze() calls skipped the lint).
-            result.diagnostics = diagnostics
-            # Once, on the final result only — the auxiliary LP (and a
-            # possible degree-1 refit) must not run per discarded
-            # escalation degree.
-            attach_tail_bound_for(result, options)
-        return result
+            task = bench.prepare(options, check_concentration=check_concentration)
+            return escalate(task, options.degree_plan(default=bench.degree), options)
 
     def analyze(
         self,
@@ -238,14 +197,16 @@ class Benchmark:
                 "degree='auto' escalation needs a degree ceiling; use "
                 "analyze(AnalysisOptions(degree='auto', max_degree=...))"
             )
-        return self._analyze_resolved(
-            init=init,
-            degree=degree,  # type: ignore[arg-type]
+        from ..api.options import AnalysisOptions
+
+        options = AnalysisOptions(
+            init=legacy.get("init"),
+            degree=degree,
             compute_lower=True if compute_lower is None else compute_lower,
-            check_concentration=bool(check_concentration),
             mode=mode,
             max_multiplicands=max_multiplicands,
         )
+        return self.analyze_with(options, check_concentration=bool(check_concentration))
 
     def __repr__(self) -> str:
         return f"Benchmark({self.name!r}, category={self.category!r}, degree={self.degree})"

@@ -223,6 +223,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     # Keep-alive is safe: every response carries Content-Length.
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle on, the
+    # body waits for the client's delayed ACK of the headers (~40 ms
+    # per response on a kept-alive connection).
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         if self.server.verbose:

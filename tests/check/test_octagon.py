@@ -14,8 +14,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check import Octagon, analyze_cfg_octagon, check_program
+from repro.check.octagon import _shift, _swap_sign
 from repro.programs import get_benchmark
 from repro.semantics import build_cfg
 from repro.semantics.interpreter import run
@@ -66,6 +69,65 @@ class TestClosure:
         assert oct_.diff_bounds("x", "y") == (4.0, 4.0)
         assert oct_.contains({"x": 3.0, "y": -1.0})
         assert not oct_.contains({"x": 3.0, "y": 0.0})
+
+
+#: Small DBM entries keep the closure arithmetic exact.
+_BOUNDS = st.sampled_from([-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 6.0])
+
+
+@st.composite
+def _memoised_and_mutated(draw):
+    """An unclosed octagon closed once (memo set), then one mutator."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    n2 = 2 * n
+    entries = draw(
+        st.lists(
+            st.tuples(st.integers(0, n2 - 1), st.integers(0, n2 - 1), _BOUNDS),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    oct_ = _octagon(("x", "y", "z")[:n], {(i, j): c for i, j, c in entries if i != j})
+    oct_.close()
+    k = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["set_bound", "forget", "shift", "swap_sign"]))
+    if kind == "set_bound":
+        i, j = draw(st.integers(0, n2 - 1)), draw(st.integers(0, n2 - 1))
+        if i != j:
+            oct_.set_bound(i, j, draw(_BOUNDS))
+    elif kind == "forget":
+        oct_.forget(k)
+    elif kind == "shift":
+        lo = draw(_BOUNDS)
+        _shift(oct_, k, lo, lo + draw(st.sampled_from([0.0, 1.0, 2.0])))
+    else:
+        _swap_sign(oct_, k)
+    return oct_
+
+
+class TestClosureMemo:
+    """``close()`` memoises on the state; every mutator drops the memo."""
+
+    def test_close_is_computed_once(self):
+        oct_ = _octagon(("x", "y"), {(0, 1): 4.0, (2, 3): 6.0})
+        first = oct_.close()
+        assert oct_.close() is first
+
+    def test_copy_starts_without_memo(self):
+        oct_ = _octagon(("x", "y"), {(0, 1): 4.0, (2, 3): 6.0})
+        first = oct_.close()
+        again = oct_.copy().close()
+        assert again is not first
+        assert again.m == first.m
+
+    @settings(max_examples=300, deadline=None)
+    @given(_memoised_and_mutated())
+    def test_mutators_invalidate_the_memo(self, oct_):
+        fresh = Octagon(oct_.vars, [row[:] for row in oct_.m], closed=oct_.closed).close()
+        memoised = oct_.close()
+        assert (memoised is None) == (fresh is None)
+        if fresh is not None:
+            assert memoised.m == fresh.m
 
 
 class TestLattice:

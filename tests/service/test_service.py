@@ -1,7 +1,10 @@
 """HTTP analysis-service tests (`repro.service` / `repro serve`)."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -193,6 +196,30 @@ class TestAnalyze:
         assert status == 200
         assert payload["status"] == "error"
         assert "did you mean" in payload["error"]
+
+
+class TestKeepAlive:
+    def test_repeat_posts_on_one_connection_do_not_stall(self, service):
+        # Headers and body are separate writes; with Nagle's algorithm
+        # on, every response after the first waited ~40 ms for the
+        # client's delayed ACK.
+        server, _, _ = service
+        body = json.dumps({"benchmark": "rdwalk"})
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=120)
+        elapsed = []
+        try:
+            for _ in range(6):
+                start = time.perf_counter()
+                connection.request(
+                    "POST", "/analyze", body=body, headers={"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(elapsed[1:]) < 0.020, elapsed
 
 
 class TestBadEnvelopes:
