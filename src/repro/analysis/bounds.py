@@ -23,7 +23,8 @@ if TYPE_CHECKING:  # runtime imports would be circular; these are lazy below
 from ..core.conditions import AnalysisMode, classify
 from ..core.synthesis import BoundResult, synthesize
 from ..errors import InfeasibleError, SynthesisError, UnboundedError
-from ..invariants import INVARIANT_DOMAINS, InvariantMap, generate_invariants
+from ..invariants import InvariantMap, generate_invariants
+from ..options import AnalysisOptions
 from ..semantics.cfg import CFG, build_cfg
 from ..syntax.ast import Program
 from ..syntax.parser import parse_program
@@ -121,12 +122,13 @@ class PreparedTask:
 
     program: Program
     cfg: CFG
+    #: The record the task was prepared under (``compute_lower``,
+    #: ``max_multiplicands`` and the tail settings steer the rungs).
+    options: AnalysisOptions
     init: Dict[str, float]
     #: The merged Gamma: annotations plus generated invariants.
     invariants: InvariantMap
     mode: AnalysisMode
-    compute_lower: bool = True
-    max_multiplicands: Optional[int] = None
     concentration: Optional[RankingCertificate] = None
     #: Degree-independent warnings (forced regime, no theorem applies,
     #: concentration); every step's result starts with these.
@@ -150,7 +152,7 @@ class PreparedTask:
             diagnostics=None if self.diagnostics is None else list(self.diagnostics),
         )
         result.upper = self._side(result, "upper", degree)
-        if not self.compute_lower or (result.upper is None and not final):
+        if not self.options.compute_lower or (result.upper is None and not final):
             return result
         if not self.mode.lower:
             # The regime rules out PLCS entirely (e.g. Theorem 6.14 is
@@ -175,7 +177,7 @@ class PreparedTask:
                 kind=kind,
                 degree=degree,
                 nonnegative=kind == "upper" and self.mode.require_nonnegative_template,
-                max_multiplicands=self.max_multiplicands,
+                max_multiplicands=self.options.max_multiplicands,
             )
         except SynthesisError as exc:
             result.warnings.append(f"no degree-{degree} {kind} bound: {exc}")
@@ -211,32 +213,22 @@ def strengthen_invariants(
 
 def prepare(
     program: Union[str, Program],
-    init: Mapping[str, float],
+    options: AnalysisOptions,
     invariants: Optional[Union[InvariantMap, Mapping[int, object]]] = None,
-    auto_invariants: bool = True,
+    *,
     check_concentration: bool = False,
-    compute_lower: bool = True,
-    max_multiplicands: Optional[int] = None,
-    mode: str = "auto",
-    invariant_domain: str = "interval",
-    check: str = "off",
 ) -> PreparedTask:
     """The degree-independent stage of :func:`analyze`, run once per task.
 
-    Every argument is validated before any work, then: CFG, lint,
-    the merged Gamma, regime classification (with forced-mode
-    warnings) and the optional concentration certificate.  The lint
-    and Gamma generation share one fixpoint.  Parameters are those of
-    :func:`analyze`.
+    Runs under ``options`` (already validated — an unset ``init`` is
+    the empty valuation and an unset ``mode`` is ``"auto"``) with the
+    annotations ``invariants``: CFG, lint, the merged Gamma, regime
+    classification (with forced-mode warnings) and the optional
+    concentration certificate.  The lint and Gamma generation share one
+    fixpoint.
     """
-    if check not in ("off", "warn", "strict"):
-        raise ValueError("check must be 'off', 'warn' or 'strict'")
-    if invariant_domain not in INVARIANT_DOMAINS:
-        raise ValueError(
-            f"invariant_domain must be one of {INVARIANT_DOMAINS}, got {invariant_domain!r}"
-        )
-    if mode not in ("auto", "signed", "nonnegative"):
-        raise ValueError("mode must be 'auto', 'signed' or 'nonnegative'")
+    init = dict(options.init) if options.init is not None else {}
+    mode = options.mode if options.mode is not None else "auto"
     if isinstance(program, str):
         program = parse_program(program)
     cfg = build_cfg(program)
@@ -252,7 +244,7 @@ def prepare(
 
     diagnostics = None
     fixpoint = None
-    if check != "off":
+    if options.check != "off":
         # Lint against the *user's* invariants, before auto
         # strengthening mixes in generated rows.  It runs ahead of the
         # valuation check below so that REP001 reports unknown
@@ -263,9 +255,9 @@ def prepare(
             cfg,
             init,
             inv if invariants is not None else None,
-            invariant_domain=invariant_domain,
+            invariant_domain=options.invariant_domain,
         )
-        if check == "strict" and not check_result.ok:
+        if options.check == "strict" and not check_result.ok:
             from ..errors import CheckError
 
             codes = ", ".join(sorted({d.code for d in check_result.errors}))
@@ -275,15 +267,16 @@ def prepare(
                 diagnostics=check_result.diagnostics,
             )
         diagnostics = list(check_result.diagnostics)
-        fixpoint = check_result.octagon if invariant_domain == "octagon" else check_result.analysis
+        octagon = options.invariant_domain == "octagon"
+        fixpoint = check_result.octagon if octagon else check_result.analysis
 
     unknown_vars = set(init) - set(cfg.pvars)
     if unknown_vars:
         from ..errors import SemanticsError
 
         raise SemanticsError(f"initial valuation mentions unknown variables: {sorted(unknown_vars)}")
-    if auto_invariants:
-        strengthen_invariants(inv, cfg, init, invariant_domain, fixpoint)
+    if options.auto_invariants:
+        strengthen_invariants(inv, cfg, init, options.invariant_domain, fixpoint)
 
     detected = classify(cfg, inv)
     warnings: List[str] = []
@@ -323,11 +316,10 @@ def prepare(
     return PreparedTask(
         program=program,
         cfg=cfg,
-        init=dict(init),
+        options=options,
+        init=init,
         invariants=inv,
         mode=detected,
-        compute_lower=compute_lower,
-        max_multiplicands=max_multiplicands,
         concentration=concentration,
         warnings=warnings,
         diagnostics=diagnostics,
@@ -352,8 +344,10 @@ def analyze(
 ) -> CostAnalysisResult:
     """Run the full expected-cost analysis on ``program``.
 
-    Equivalent to ``prepare(...).step(degree)`` plus the optional tail
-    bound.
+    Builds the :class:`~repro.options.AnalysisOptions` record from the
+    keywords, then ``prepare`` plus one :func:`escalate` rung (which
+    attaches the optional tail bound).  Bad keyword values raise
+    ``ValueError`` before any work.
 
     Parameters
     ----------
@@ -408,61 +402,53 @@ def analyze(
         are validated — the auto-generated invariants are consistent
         with the abstract states by construction.
     """
-    result = prepare(
-        program,
-        init,
-        invariants,
-        auto_invariants=auto_invariants,
-        check_concentration=check_concentration,
+    options = AnalysisOptions(
+        degree=degree,
+        mode=mode,
         compute_lower=compute_lower,
         max_multiplicands=max_multiplicands,
-        mode=mode,
+        auto_invariants=auto_invariants,
         invariant_domain=invariant_domain,
+        init=init,
+        tails=tails,
+        tail_horizon=tail_horizon,
+        tail_probes=tail_probes,
         check=check,
-    ).step(degree)
-    if tails:
-        attach_tail_bound(
-            result,
-            horizon=tail_horizon,
-            probes=tail_probes,
-            max_multiplicands=max_multiplicands,
-        )
-    return result
+    )
+    task = prepare(program, options, invariants, check_concentration=check_concentration)
+    return escalate(task, options.degree_plan())
 
 
 def escalate(
     task: PreparedTask,
     degrees: Sequence[int],
-    settings,
     on_rung: Optional[Callable[[int], None]] = None,
 ) -> CostAnalysisResult:
     """Climb the degree ladder ``degrees`` over one prepared task.
 
     Keeps the first complete rung, else the last, and attaches the
-    tail bound to it once when ``settings.tails`` is set; ``settings``
-    is an :class:`~repro.api.AnalysisOptions` or an
-    :class:`~repro.batch.spec.AnalysisRequest` (name-aligned fields).
+    tail bound to it once when the task's options ask for one.
     ``on_rung`` is told each degree before it is tried.  The one
-    escalation loop behind the batch engine,
-    :meth:`~repro.programs.Benchmark.analyze_with` and
+    escalation loop behind :func:`analyze`, the batch engine,
+    :meth:`~repro.programs.Benchmark.analyze` and
     :meth:`~repro.api.Analyzer.synthesize`.
     """
     if not degrees:
         raise ValueError("the degree ladder is empty")
+    options = task.options
     last = len(degrees) - 1
     for index, degree in enumerate(degrees):
         if on_rung is not None:
             on_rung(degree)
         result = task.step(degree, final=index == last)
-        if result.complete_for(task.compute_lower):
+        if result.complete_for(options.compute_lower):
             break
-    if settings.tails:
-        probes = settings.tail_probes
+    if options.tails:
         attach_tail_bound(
             result,
-            horizon=settings.tail_horizon,
-            probes=list(probes) if probes else None,
-            max_multiplicands=settings.max_multiplicands,
+            horizon=options.tail_horizon,
+            probes=options.tail_probes,
+            max_multiplicands=options.max_multiplicands,
         )
     return result
 

@@ -17,10 +17,11 @@ thin adapter over the three names this package exports first:
     ``parse``/``build_cfg``/``derive_invariants``/``synthesize``
     expose the pipeline stage by stage.
 :class:`AnalysisRequest` / :class:`AnalysisReport`
-    The JSON work unit and the canonical result record (schema
-    ``repro-report/v6``; :func:`report_to_v1` ... :func:`report_to_v5`
-    and the lenient :meth:`AnalysisReport.from_dict` bridge older
-    consumers and producers).
+    The JSON work unit — an :class:`AnalysisOptions` record plus a
+    target (``benchmark`` or ``source``), validated by the same code —
+    and the canonical result record (schema ``repro-report/v6``; the
+    lenient :meth:`AnalysisReport.from_dict` also reads every
+    :data:`REPORT_COMPAT_SCHEMAS` dict).
 
 The static lint pass (:mod:`repro.check`) surfaces here through
 ``AnalysisOptions(check="warn"|"strict")`` — findings ride on
@@ -52,12 +53,8 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping
 
 from ..batch.spec import (
+    REPORT_COMPAT_SCHEMAS,
     REPORT_SCHEMA,
-    REPORT_SCHEMA_V1,
-    REPORT_SCHEMA_V2,
-    REPORT_SCHEMA_V3,
-    REPORT_SCHEMA_V4,
-    REPORT_SCHEMA_V5,
     AnalysisReport,
     AnalysisRequest,
     load_spec,
@@ -77,8 +74,8 @@ from ..core.solvers import (
     resolve_backend,
     use_solver,
 )
+from ..options import AnalysisOptions
 from .analyzer import Analyzer
-from .options import AnalysisOptions
 
 __all__ = [
     "AnalysisOptions",
@@ -87,12 +84,8 @@ __all__ = [
     "Analyzer",
     "CheckResult",
     "Diagnostic",
+    "REPORT_COMPAT_SCHEMAS",
     "REPORT_SCHEMA",
-    "REPORT_SCHEMA_V1",
-    "REPORT_SCHEMA_V2",
-    "REPORT_SCHEMA_V3",
-    "REPORT_SCHEMA_V4",
-    "REPORT_SCHEMA_V5",
     "ResultCache",
     "RetryPolicy",
     "SolveOutcome",
@@ -104,11 +97,6 @@ __all__ = [
     "load_spec",
     "register_backend",
     "report_from_dict",
-    "report_to_v1",
-    "report_to_v2",
-    "report_to_v3",
-    "report_to_v4",
-    "report_to_v5",
     "request_fingerprint",
     "request_key",
     "requests_from_spec",
@@ -118,39 +106,9 @@ __all__ = [
 ]
 
 
-def report_to_v1(report: AnalysisReport) -> Dict[str, Any]:
-    """``report`` as a pre-``repro.api`` (``repro-report/v1``) dict —
-    bitwise what a v1 writer produced for the same analysis."""
-    return report.to_v1_dict()
-
-
-def report_to_v2(report: AnalysisReport) -> Dict[str, Any]:
-    """``report`` as a pre-tail-bound (``repro-report/v2``) dict —
-    bitwise what a v2 writer produced for the same analysis."""
-    return report.to_v2_dict()
-
-
-def report_to_v3(report: AnalysisReport) -> Dict[str, Any]:
-    """``report`` as a pre-resilience (``repro-report/v3``) dict —
-    bitwise what a v3 writer produced for the same analysis."""
-    return report.to_v3_dict()
-
-
-def report_to_v4(report: AnalysisReport) -> Dict[str, Any]:
-    """``report`` as a pre-lint (``repro-report/v4``) dict — bitwise
-    what a v4 writer produced for the same analysis."""
-    return report.to_v4_dict()
-
-
-def report_to_v5(report: AnalysisReport) -> Dict[str, Any]:
-    """``report`` as a pre-relational-invariants (``repro-report/v5``)
-    dict — bitwise what a v5 writer produced for the same analysis."""
-    return report.to_v5_dict()
-
-
 def report_from_dict(data: Mapping[str, Any]) -> AnalysisReport:
-    """Read a v6, v5, v4, v3, v2 *or* v1 report dict (the lenient
-    reader shim)."""
+    """Read a report dict of the current or any older schema (the
+    lenient reader)."""
     return AnalysisReport.from_dict(data)
 
 
@@ -163,13 +121,7 @@ def version_info() -> Dict[str, Any]:
         "repro": __version__,
         "schemas": {
             "report": REPORT_SCHEMA,
-            "report_compat": [
-                REPORT_SCHEMA_V1,
-                REPORT_SCHEMA_V2,
-                REPORT_SCHEMA_V3,
-                REPORT_SCHEMA_V4,
-                REPORT_SCHEMA_V5,
-            ],
+            "report_compat": list(REPORT_COMPAT_SCHEMAS),
             "cache_entry": ENTRY_SCHEMA,
         },
         "solver_backends": backend_specs(),

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 import threading
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Union
 
@@ -33,12 +34,12 @@ from ..analysis.bounds import CostAnalysisResult, escalate, prepare, strengthen_
 from ..batch.engine import _cached_execute, run_batch
 from ..batch.spec import AnalysisReport, AnalysisRequest
 from ..invariants import InvariantMap
+from ..options import AnalysisOptions
 from ..programs import Benchmark, get_benchmark
 from ..semantics.cfg import CFG, build_cfg
 from ..syntax.ast import Program
 from ..syntax.parser import parse_program
 from ..syntax.pretty import pretty
-from .options import AnalysisOptions
 
 __all__ = ["Analyzer"]
 
@@ -172,26 +173,26 @@ class Analyzer:
         as-is.
         """
         opts = self._merged(options, overrides)
+        settings = {f.name: getattr(opts, f.name) for f in fields(AnalysisOptions)}
         if isinstance(program, Benchmark):
-            payload = opts.to_dict()
             # The program identity supplies init/invariants defaults;
             # drop unset degree/mode so for_benchmark can fall back to
             # an ad-hoc benchmark's own settings.
-            init = payload.pop("init")
-            payload.pop("invariants")
+            init = settings.pop("init")
+            settings.pop("invariants")
             for key in ("degree", "mode"):
-                if payload[key] is None:
-                    payload.pop(key)
-            return AnalysisRequest.for_benchmark(program, init=init, **payload)
+                if settings[key] is None:
+                    settings.pop(key)
+            return AnalysisRequest.for_benchmark(program, init=init, **settings)
         if isinstance(program, Program):
-            return opts.to_request(source=pretty(program), name=program.name)
+            return AnalysisRequest(source=pretty(program), name=program.name, **settings)
         if isinstance(program, str):
             if _NAME_RE.match(program):
                 # Raises KeyError with a did-you-mean suggestion for a
                 # typo'd benchmark name instead of a baffling parse error.
                 get_benchmark(program)
-                return opts.to_request(benchmark=program)
-            return opts.to_request(source=program)
+                return AnalysisRequest(benchmark=program, **settings)
+            return AnalysisRequest(source=program, **settings)
         raise TypeError(
             "program must be a benchmark name, source text, a Benchmark or a "
             f"parsed Program, got {type(program).__name__}"
@@ -217,9 +218,7 @@ class Analyzer:
         if self._cache is None:
             return None
         if request.solver is None and self._options.solver is not None:
-            from dataclasses import replace as _dc_replace
-
-            request = _dc_replace(request, solver=self._options.solver)
+            request = request.merge(solver=self._options.solver)
         return self._cache.request_key(request)
 
     def cached_report(self, key: str, request: AnalysisRequest) -> Optional[AnalysisReport]:
@@ -279,14 +278,8 @@ class Analyzer:
                 )
         session_solver = self._options.solver
         if session_solver is not None:
-            from dataclasses import replace as _dc_replace
-
-            # Fill on copies: the caller's request objects must not be
-            # retroactively pinned to this session's backend.
             resolved = [
-                _dc_replace(request, solver=session_solver)
-                if request.solver is None
-                else request
+                request.merge(solver=session_solver) if request.solver is None else request
                 for request in resolved
             ]
         effective_jobs = self._jobs if jobs is None else jobs
@@ -413,7 +406,7 @@ class Analyzer:
         if isinstance(program, str) and _NAME_RE.match(program):
             program = get_benchmark(program)
         if isinstance(program, Benchmark):
-            return program.analyze_with(opts, check_concentration=check_concentration)
+            return program.analyze(opts, check_concentration=check_concentration)
         parsed = self.parse(program) if isinstance(program, str) else program
         if not isinstance(parsed, Program):
             raise TypeError(
@@ -424,18 +417,9 @@ class Analyzer:
             parsed = replace_nondet(parsed, prob=opts.nondet_prob)
         with use_solver(opts.solver):
             task = prepare(
-                parsed,
-                init=dict(opts.init) if opts.init is not None else {},
-                invariants=dict(opts.invariants) if opts.invariants else None,
-                auto_invariants=opts.auto_invariants,
-                check_concentration=check_concentration,
-                compute_lower=opts.compute_lower,
-                max_multiplicands=opts.max_multiplicands,
-                mode=opts.mode if opts.mode is not None else "auto",
-                invariant_domain=opts.invariant_domain,
-                check=opts.check,
+                parsed, opts, opts.invariants or None, check_concentration=check_concentration
             )
-            return escalate(task, opts.degree_plan(default=2), opts)
+            return escalate(task, opts.degree_plan(default=2))
 
     def __repr__(self) -> str:
         cache = getattr(self._cache, "root", None)

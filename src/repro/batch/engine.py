@@ -137,14 +137,6 @@ def _resolve_benchmark(request: AnalysisRequest) -> Benchmark:
     return bench
 
 
-def _degree_plan(request: AnalysisRequest, bench: Benchmark) -> List[int]:
-    if request.degree == "auto":
-        return list(range(1, request.max_degree + 1))
-    if request.degree is not None:
-        return [int(request.degree)]
-    return [bench.degree]
-
-
 def _fill_bounds(report: AnalysisReport, result: CostAnalysisResult) -> None:
     report.mode = result.mode.name
     report.warnings = list(result.warnings)
@@ -167,15 +159,13 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
 
     Never raises for analysis-level failures: parse errors, infeasible
     LPs, bad valuations and timeouts all come back as structured
-    reports.  (Programming errors in the request object itself — e.g.
-    neither ``benchmark`` nor ``source`` — still raise ``ValueError``
-    from :meth:`AnalysisRequest.validate` before any work starts.)
+    reports.  (Ill-formed requests never get here: an
+    :class:`AnalysisRequest` validates when it is built.)
 
     ``attempt`` is the 1-based execution count the resilient pool
     passes on crash retries; it feeds the deterministic fault-injection
     hook and nothing else — the analysis itself is attempt-invariant.
     """
-    request.validate()
     start = time.perf_counter()
     report = AnalysisReport(
         name=request.display_name,
@@ -210,8 +200,7 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
                 )
                 result = escalate(
                     task,
-                    _degree_plan(request, bench),
-                    request,
+                    request.degree_plan(default=bench.degree),
                     on_rung=report.degrees_tried.append,
                 )
                 report.degree = report.degrees_tried[-1]
@@ -395,8 +384,6 @@ def run_batch(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    for request in requests:
-        request.validate()
     if not requests:
         return []
 
@@ -435,7 +422,7 @@ def run_batch(
         PoolTask(
             task_id=index,
             payload=(index, request.to_dict(), cache_config),
-            retry=request.retry_policy() if request.retry is not None else fallback,
+            retry=request.retry if request.retry is not None else fallback,
             name=request.display_name,
         )
         for index, request in enumerate(requests)

@@ -55,7 +55,7 @@ import sys
 from typing import Dict, List, Optional, Tuple, Union
 
 from .api import AnalysisOptions, Analyzer
-from .batch import AnalysisReport, load_spec
+from .batch import AnalysisReport, AnalysisRequest, load_spec
 from .errors import ReproError
 from .programs import all_benchmarks, get_benchmark
 from .semantics import build_cfg, simulate
@@ -501,6 +501,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _batch_overrides(request: AnalysisRequest, args: argparse.Namespace) -> AnalysisRequest:
+    """``request`` with the batch command-line flags applied (spec
+    fields win for ``--timeout`` and ``--retries``)."""
+    overrides = {}
+    if args.timeout is not None and request.timeout_s is None:
+        overrides["timeout_s"] = args.timeout
+    if args.tails:
+        overrides["tails"] = True
+    if args.invariant_domain is not None:
+        overrides["invariant_domain"] = args.invariant_domain
+    if args.retries is not None and request.retry is None:
+        # --retries N = N retries after the first run.
+        overrides["retry"] = {"max_attempts": args.retries + 1}
+    return request.merge(overrides) if overrides else request
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise CLIError(f"invalid --jobs value {args.jobs}; must be >= 1")
@@ -514,23 +530,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise CLIError(f"invalid spec {args.spec!r}: {exc}") from None
     if not requests:
         raise CLIError(f"spec {args.spec!r} contains no tasks")
-    if args.timeout is not None:
-        for request in requests:
-            if request.timeout_s is None:
-                request.timeout_s = args.timeout
-    if args.tails:
-        for request in requests:
-            request.tails = True
-    if args.invariant_domain is not None:
-        for request in requests:
-            request.invariant_domain = args.invariant_domain
-    if args.retries is not None:
-        if args.retries < 0:
-            raise CLIError(f"invalid --retries value {args.retries}; must be >= 0")
-        # --retries N = N retries after the first run, spec tasks win.
-        for request in requests:
-            if request.retry is None:
-                request.retry = {"max_attempts": args.retries + 1}
+    if args.retries is not None and args.retries < 0:
+        raise CLIError(f"invalid --retries value {args.retries}; must be >= 0")
+    requests = [_batch_overrides(request, args) for request in requests]
     _validate_solver(args.solver)
     if args.output:
         # Fail fast on an unwritable report location rather than after

@@ -41,6 +41,7 @@ from ..errors import (
     NonLinearError,
     SynthesisError,
 )
+from ..options import AnalysisOptions
 from ..semantics.cfg import build_cfg
 from ..semantics.interpreter import SimulationStats, simulate
 from ..syntax.ast import Program
@@ -194,10 +195,8 @@ class Harness:
     ):
         if defect is not None and defect not in DEFECTS:
             raise ValueError(f"unknown defect {defect!r}; known: {', '.join(sorted(DEFECTS))}")
-        if invariant_domain not in ("interval", "octagon"):
-            raise ValueError(
-                f"invariant_domain must be 'interval' or 'octagon', got {invariant_domain!r}"
-            )
+        # Fail on a bad domain here, not on the first program.
+        AnalysisOptions(invariant_domain=invariant_domain)
         self.config = config or GenConfig()
         self.defect = defect
         self.invariant_domain = invariant_domain

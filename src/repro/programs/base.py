@@ -11,14 +11,13 @@ without fixing a policy, cf. Table 4's missing rows).
 
 from __future__ import annotations
 
-import warnings as _warnings
-from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..analysis.bounds import CostAnalysisResult, PreparedTask, escalate, prepare
 from ..invariants import InvariantMap
+from ..options import AnalysisOptions
 from ..semantics.cfg import CFG, build_cfg
 from ..syntax.ast import Program
 from ..syntax.parser import parse_program
@@ -96,117 +95,46 @@ class Benchmark:
 
     # -- analysis ---------------------------------------------------------------
 
-    def prepare(self, settings, *, check_concentration: bool = False) -> PreparedTask:
-        """The degree-independent stage of the pipeline under ``settings``.
-
-        ``settings`` is an :class:`repro.api.AnalysisOptions` or an
-        :class:`~repro.batch.spec.AnalysisRequest` (the fields are
-        name-aligned by design); an unset ``init`` or ``mode`` defers
-        to the benchmark's own.
-        """
-        anchor = dict(settings.init) if settings.init is not None else dict(self.init)
+    def prepare(self, options: AnalysisOptions, *, check_concentration: bool = False) -> PreparedTask:
+        """The degree-independent stage of the pipeline under ``options``
+        (an :class:`AnalysisOptions` or a request); an unset ``init`` or
+        ``mode`` defers to the benchmark's own."""
+        anchor = dict(options.init) if options.init is not None else dict(self.init)
+        resolved = options.merge(
+            init=anchor, mode=options.mode if options.mode is not None else self.mode
+        )
         return prepare(
             self.program,
-            init=anchor,
-            invariants=self.invariant_map(anchor),
-            auto_invariants=settings.auto_invariants,
+            resolved,
+            self.invariant_map(anchor),
             check_concentration=check_concentration,
-            compute_lower=settings.compute_lower,
-            max_multiplicands=settings.max_multiplicands,
-            mode=settings.mode if settings.mode is not None else self.mode,
-            invariant_domain=settings.invariant_domain,
-            check=settings.check,
         )
 
-    def analyze_with(
-        self, options, *, check_concentration: bool = False
+    def analyze(
+        self, options: Optional[AnalysisOptions] = None, *, check_concentration: bool = False
     ) -> CostAnalysisResult:
-        """Run the pipeline under a :class:`repro.api.AnalysisOptions`.
+        """Run the pipeline under ``options`` (default: the benchmark's
+        own settings).
 
         Honors the synthesis-relevant subset of the options: the degree
         plan (``"auto"`` escalates d = 1..``max_degree`` until every
         requested bound is feasible, exactly like the batch engine),
-        mode, multiplicand cap, invariant policy, lint, init valuation,
-        solver backend and the ``nondet_prob`` coin-flip
+        mode, multiplicand cap, invariant policy, lint, tails, init
+        valuation, solver backend and the ``nondet_prob`` coin-flip
         transformation.  Simulation and timeout settings are
         engine-level concerns — use :meth:`repro.api.Analyzer.analyze`
         for those.
         """
         from ..core.solvers import use_solver
 
+        if options is None:
+            options = AnalysisOptions()
         bench = self
         if options.nondet_prob is not None and self.has_nondeterminism:
             bench = probabilistic_variant(self, prob=options.nondet_prob)
         with use_solver(options.solver):
             task = bench.prepare(options, check_concentration=check_concentration)
-            return escalate(task, options.degree_plan(default=bench.degree), options)
-
-    def analyze(
-        self,
-        options=None,
-        *,
-        init: Optional[Mapping[str, float]] = None,
-        degree: Optional[Union[int, str]] = None,
-        compute_lower: Optional[bool] = None,
-        check_concentration: Optional[bool] = None,
-        mode: Optional[str] = None,
-        max_multiplicands: Optional[int] = None,
-    ) -> CostAnalysisResult:
-        """Run the full pipeline on this benchmark.
-
-        The canonical form is ``analyze(options)`` with a
-        :class:`repro.api.AnalysisOptions` (``check_concentration``
-        rides along as a staged-only keyword).  The pre-``repro.api``
-        keyword sprawl (``init=``, ``degree=``, ...) still works for
-        one release but emits a :class:`DeprecationWarning`; a bare
-        ``analyze()`` uses the benchmark's own settings and stays
-        silent.
-        """
-        legacy = {
-            key: value
-            for key, value in {
-                "init": init,
-                "degree": degree,
-                "compute_lower": compute_lower,
-                "mode": mode,
-                "max_multiplicands": max_multiplicands,
-            }.items()
-            if value is not None
-        }
-        if options is not None and isinstance(options, _MappingABC):
-            # Pre-redesign positional call: analyze({"x": 100}).
-            legacy.setdefault("init", dict(options))
-            options = None
-        if options is not None:
-            if legacy:
-                raise TypeError(
-                    "pass either an AnalysisOptions or the legacy keyword "
-                    f"arguments, not both: {sorted(legacy)}"
-                )
-            return self.analyze_with(options, check_concentration=bool(check_concentration))
-        if legacy:
-            _warnings.warn(
-                "Benchmark.analyze(init=..., degree=..., ...) keyword arguments "
-                "are deprecated; pass repro.api.AnalysisOptions via "
-                "analyze(options) or go through repro.api.Analyzer",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if degree == "auto":
-            raise ValueError(
-                "degree='auto' escalation needs a degree ceiling; use "
-                "analyze(AnalysisOptions(degree='auto', max_degree=...))"
-            )
-        from ..api.options import AnalysisOptions
-
-        options = AnalysisOptions(
-            init=legacy.get("init"),
-            degree=degree,
-            compute_lower=True if compute_lower is None else compute_lower,
-            mode=mode,
-            max_multiplicands=max_multiplicands,
-        )
-        return self.analyze_with(options, check_concentration=bool(check_concentration))
+            return escalate(task, options.degree_plan(default=bench.degree))
 
     def __repr__(self) -> str:
         return f"Benchmark({self.name!r}, category={self.category!r}, degree={self.degree})"

@@ -210,9 +210,7 @@ def _parse_analyze_body(body: Any) -> Tuple[List[AnalysisRequest], bool]:
     one-request-object form whose response is the bare report.
     """
     if isinstance(body, Mapping) and "tasks" not in body and "suite" not in body:
-        request = AnalysisRequest.from_dict(body)
-        request.validate()
-        return [request], True
+        return [AnalysisRequest.from_dict(body)], True
     if isinstance(body, Mapping) and "suite" in body and "tasks" not in body:
         return requests_from_spec([dict(body)]), False
     return requests_from_spec(body), False

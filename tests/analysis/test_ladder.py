@@ -110,8 +110,8 @@ class TestArgumentValidation:
         [{"mode": "bogus"}, {"check": "loud"}, {"invariant_domain": "polyhedra"}],
     )
     def test_arguments_checked_before_parsing(self, kwargs):
-        with pytest.raises(ValueError):
-            prepare("var x := ;", init={}, **kwargs)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            analyze("var x := ;", init={}, **kwargs)
 
 
 class TestLadder:
@@ -152,7 +152,7 @@ class TestLadder:
 
     def test_plcs_skipped_only_on_non_final_rungs(self, solves):
         program, init = _climbing()
-        task = prepare(program, init, invariant_domain="octagon")
+        task = prepare(program, AnalysisOptions(init=init, invariant_domain="octagon"))
         discarded = task.step(1, final=False)
         assert solves == [("upper", 1)]
         assert discarded.upper is None and discarded.lower_skipped is None
@@ -161,9 +161,9 @@ class TestLadder:
         assert final.upper is None
 
     def test_empty_ladder_is_an_error(self):
-        task = prepare(RDWALK, {"x": 0, "n": 10})
+        task = prepare(RDWALK, AnalysisOptions(init={"x": 0, "n": 10}))
         with pytest.raises(ValueError):
-            escalate(task, [], AnalysisOptions())
+            escalate(task, [])
 
 
 class TestLadderEqualsAnalyze:
@@ -173,12 +173,7 @@ class TestLadderEqualsAnalyze:
     def test_registry(self, bench):
         options = AnalysisOptions(degree="auto", max_degree=3, tails=True, check="warn")
         tried = []
-        laddered = escalate(
-            bench.prepare(options),
-            options.degree_plan(),
-            options,
-            on_rung=tried.append,
-        )
+        laddered = escalate(bench.prepare(options), options.degree_plan(), on_rung=tried.append)
         init = dict(bench.init)
         direct = analyze(
             bench.program,
@@ -204,12 +199,8 @@ class TestLadderEqualsAnalyze:
         )
         options = AnalysisOptions(degree="auto", max_degree=config.max_degree, **settings)
         tried = []
-        task = prepare(
-            generated.program,
-            init=dict(generated.init),
-            check="warn",
-            invariant_domain="octagon",
+        laddered = escalate(
+            prepare(generated.program, options), options.degree_plan(), on_rung=tried.append
         )
-        laddered = escalate(task, options.degree_plan(), options, on_rung=tried.append)
         direct = analyze(generated.program, degree=tried[-1], **settings)
         _assert_same(laddered, direct)

@@ -15,10 +15,9 @@ and 5 workloads:
 
 import pytest
 
-from repro.api import AnalysisOptions, Analyzer, report_to_v1
+from repro.api import Analyzer
 from repro.batch import AnalysisRequest, requests_from_spec, run_batch
 from repro.cache import ResultCache, request_key
-from repro.programs import get_benchmark
 
 #: (suite, bench_name, extra request fields) — one cheap representative
 #: per table workload, coin-flip transformation included for table5.
@@ -97,72 +96,43 @@ class TestStagedVsEngine:
         assert lower == report.lower_value
         assert result.lower_skipped == report.lower_skipped
 
-    def test_legacy_benchmark_kwargs_match_options_path(self):
-        bench = get_benchmark("ber")
-        with pytest.deprecated_call():
-            legacy = bench.analyze(degree=2, compute_lower=True)
-        modern = bench.analyze(AnalysisOptions(degree=2, compute_lower=True))
-        assert legacy.upper.value == modern.upper.value
-        assert legacy.lower.value == modern.lower.value
 
-
-class TestV1Shim:
-    def test_v1_dict_drops_only_newer_fields(self):
-        report = Analyzer().analyze("ber")
-        v6 = report.to_dict()
-        v1 = report_to_v1(report)
-        assert set(v6) - set(v1) == {
-            "lower_skipped",
-            "solver",
-            "tail",
-            "attempts",
-            "diagnostics",
-            "invariant_domain",
-        }
-        assert {k: v for k, v in v6.items() if k in v1} == v1
-        # v1 key order is the v6 prefix (bitwise compatibility)
-        assert list(v1) == [k for k in v6 if k in v1]
-
-    def test_v2_dict_drops_only_newer_fields(self):
-        from repro.api import report_to_v2
-
-        report = Analyzer().analyze("ber")
-        v6 = report.to_dict()
-        v2 = report_to_v2(report)
-        assert set(v6) - set(v2) == {"tail", "attempts", "diagnostics", "invariant_domain"}
-        assert {k: v for k, v in v6.items() if k in v2} == v2
-        # v2 key order is the v6 prefix (bitwise compatibility)
-        assert list(v2) == [k for k in v6 if k in v2]
-
-    def test_v3_dict_drops_only_newer_fields(self):
-        from repro.api import report_to_v3
-
-        report = Analyzer().analyze("ber")
-        v6 = report.to_dict()
-        v3 = report_to_v3(report)
-        assert set(v6) - set(v3) == {"attempts", "diagnostics", "invariant_domain"}
-        assert {k: v for k, v in v6.items() if k in v3} == v3
-        # v3 key order is the v6 prefix (bitwise compatibility)
-        assert list(v3) == [k for k in v6 if k in v3]
-
-    def test_v5_dict_drops_only_newer_fields(self):
-        from repro.api import report_to_v5
-
-        report = Analyzer().analyze("ber")
-        v6 = report.to_dict()
-        v5 = report_to_v5(report)
-        assert set(v6) - set(v5) == {"invariant_domain"}
-        assert {k: v for k, v in v6.items() if k in v5} == v5
-        # v5 key order is the v6 prefix (bitwise compatibility)
-        assert list(v5) == [k for k in v6 if k in v5]
-
+class TestV1Reader:
     def test_v1_reader_round_trip(self):
         from repro.api import AnalysisReport, report_from_dict
 
-        report = Analyzer().analyze("ber")
-        revived = report_from_dict(report_to_v1(report))
+        v1 = {
+            "schema": "repro-report/v1",
+            "name": "ber",
+            "status": "ok",
+            "init": {"x": 0.0, "n": 10.0},
+            "mode": "signed-bounded-update",
+            "degree": 2,
+            "degrees_tried": [2],
+            "upper_value": 20.0,
+            "upper_bound": "2*n - 2*x",
+            "upper_runtime": 0.01,
+            "lower_value": 20.0,
+            "lower_bound": "2*n - 2*x",
+            "lower_runtime": 0.01,
+            "policy_enumerated": True,
+            "sim_mean": None,
+            "sim_std": None,
+            "sim_truncated": None,
+            "sim_termination_rate": None,
+            "warnings": [],
+            "error": None,
+            "runtime": 0.05,
+            "analysis_runtime": 0.04,
+            "tag": None,
+        }
+        revived = report_from_dict(v1)
         assert isinstance(revived, AnalysisReport)
         assert revived.solver is None  # v1 dicts carry no backend id
-        assert revived.upper_value == report.upper_value
+        assert revived.upper_value == 20.0
+        assert revived.attempts == 1 and revived.diagnostics is None
+        assert {k: v for k, v in revived.to_dict().items() if k in v1} == {
+            k: v for k, v in v1.items() if k != "schema"
+        }
         with pytest.raises(ValueError, match="unsupported report schema"):
             report_from_dict({"schema": "repro-report/v9", "name": "x", "status": "ok"})

@@ -1,5 +1,5 @@
 """`repro.api.AnalysisOptions` unit tests: validation, JSON round-trip,
-merge layering, degree plans and the request bridge."""
+merge layering, degree plans and the request record built on them."""
 
 import json
 
@@ -120,26 +120,30 @@ class TestDegreePlan:
         assert AnalysisOptions().degree_plan(default=2) == [2]
 
 
-class TestRequestBridge:
-    def test_to_request_round_trips_via_from_request(self):
+class TestRequestIsOptionsPlusTarget:
+    def test_request_is_an_options_record(self):
         options = AnalysisOptions(
             degree="auto", solver="linprog", init={"x": 5}, simulate_runs=10, tag="z"
         )
-        request = options.to_request(benchmark="rdwalk")
+        request = AnalysisRequest(benchmark="rdwalk", **options.to_dict())
+        assert isinstance(request, AnalysisOptions)
         assert request.benchmark == "rdwalk"
-        assert AnalysisOptions.from_request(request) == options
+        assert {k: v for k, v in request.to_dict().items() if k in options.to_dict()} == (
+            options.to_dict()
+        )
 
-    def test_to_request_requires_exactly_one_target(self):
+    def test_request_requires_exactly_one_target(self):
         with pytest.raises(ValueError):
-            AnalysisOptions().to_request()
+            AnalysisRequest()
         with pytest.raises(ValueError):
-            AnalysisOptions().to_request(benchmark="rdwalk", source="var x; skip")
+            AnalysisRequest(benchmark="rdwalk", source="var x; skip")
 
-    def test_every_request_option_field_is_covered(self):
-        """Every non-identity AnalysisRequest field must have an
-        AnalysisOptions counterpart — a new engine knob cannot silently
-        bypass the public options object."""
+    def test_request_declares_only_its_target(self):
+        """Every other AnalysisRequest field is inherited from
+        AnalysisOptions — a new engine knob cannot silently bypass the
+        public options object."""
         identity = {"benchmark", "source", "name"}
         request_fields = set(AnalysisRequest.__dataclass_fields__) - identity
         option_fields = set(AnalysisOptions.__dataclass_fields__)
         assert request_fields == option_fields
+        assert set(AnalysisRequest.__annotations__) == identity

@@ -18,12 +18,8 @@ API_ALL = [
     "Analyzer",
     "CheckResult",
     "Diagnostic",
+    "REPORT_COMPAT_SCHEMAS",
     "REPORT_SCHEMA",
-    "REPORT_SCHEMA_V1",
-    "REPORT_SCHEMA_V2",
-    "REPORT_SCHEMA_V3",
-    "REPORT_SCHEMA_V4",
-    "REPORT_SCHEMA_V5",
     "ResultCache",
     "RetryPolicy",
     "SolveOutcome",
@@ -35,11 +31,6 @@ API_ALL = [
     "load_spec",
     "register_backend",
     "report_from_dict",
-    "report_to_v1",
-    "report_to_v2",
-    "report_to_v3",
-    "report_to_v4",
-    "report_to_v5",
     "request_fingerprint",
     "request_key",
     "requests_from_spec",
@@ -76,8 +67,8 @@ OPTIONS_FIELDS = [
     "retry",
 ]
 
-#: Golden `AnalysisReport` field list; the v1 prefix (everything before
-#: `lower_skipped`) must never be reordered — `to_v1_dict` relies on it.
+#: Golden `AnalysisReport` field list; every schema version only
+#: appended fields, which is what lets the one reader take them all.
 REPORT_FIELDS = [
     "name",
     "status",
@@ -130,11 +121,7 @@ def test_report_field_snapshot():
 
 def test_report_schema_versions():
     assert api.REPORT_SCHEMA == "repro-report/v6"
-    assert api.REPORT_SCHEMA_V1 == "repro-report/v1"
-    assert api.REPORT_SCHEMA_V2 == "repro-report/v2"
-    assert api.REPORT_SCHEMA_V3 == "repro-report/v3"
-    assert api.REPORT_SCHEMA_V4 == "repro-report/v4"
-    assert api.REPORT_SCHEMA_V5 == "repro-report/v5"
+    assert api.REPORT_COMPAT_SCHEMAS == tuple(f"repro-report/v{v}" for v in range(1, 6))
 
 
 def test_top_level_reexports():
@@ -148,5 +135,6 @@ def test_version_info_shape():
     info = api.version_info()
     assert info["repro"] == repro.__version__
     assert info["schemas"]["report"] == api.REPORT_SCHEMA
+    assert info["schemas"]["report_compat"] == list(api.REPORT_COMPAT_SCHEMAS)
     backend_ids = {spec["id"] for spec in info["solver_backends"]}
     assert {"highs", "linprog"} <= backend_ids
